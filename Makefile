@@ -70,11 +70,13 @@ gauntlet-smoke:
 	$(GO) run ./cmd/tables -table gauntlet >/dev/null
 	@echo "gauntlet-smoke OK"
 
-## bench: run the memory-subsystem benchmarks plus the two paper-level
-## benchmarks the cache overhaul is measured by; raw output lands in
-## BENCH_cache.txt and a parsed summary in BENCH_cache.json.
+## bench: run the memory-subsystem benchmarks (computed-cache churn, a
+## slot-table walk of a small function in a large arena, unique table)
+## plus the two paper-level benchmarks the cache overhaul is measured by;
+## raw output lands in BENCH_cache.txt and a parsed summary in
+## BENCH_cache.json.
 bench:
-	$(GO) test ./internal/bdd -run XXX -bench 'BenchmarkCacheChurn|BenchmarkUniqueTable' -benchmem | tee BENCH_cache.txt
+	$(GO) test ./internal/bdd -run XXX -bench 'BenchmarkCacheChurn|BenchmarkDagSizeSmallInLargeArena|BenchmarkUniqueTable' -benchmem | tee BENCH_cache.txt
 	$(GO) test . -run XXX -bench 'BenchmarkITEMultiplier|BenchmarkTable1Reachability' | tee -a BENCH_cache.txt
 	awk 'BEGIN { print "[" } \
 	  /^Benchmark/ { \

@@ -23,6 +23,7 @@ func BiasedUnderApprox(m *bdd.Manager, f, bias bdd.Ref, threshold int, quality, 
 	}
 	lg := beginLedger(m, "biased", f, threshold)
 	in := analyze(m, f)
+	defer in.release()
 	// Reweigh each node's minterm fraction by how much of it lies in the
 	// bias set: frac' = frac + (weight-1)·frac(f ∧ bias at the node).
 	// The biased fraction of a node is computed against the node's own
@@ -36,13 +37,14 @@ func BiasedUnderApprox(m *bdd.Manager, f, bias bdd.Ref, threshold int, quality, 
 	return r
 }
 
-// computeBiasFractions returns, for every regular node id reachable in f,
-// the minterm fraction of (node ∧ bias-cofactor) — the recursion carries
-// the bias down its own cofactors so each node is weighed against the
-// portion of the bias set that can still reach it.
-func computeBiasFractions(in *info, f, bias bdd.Ref) map[uint32]float64 {
+// computeBiasFractions returns, indexed by in's slot for every node
+// reachable in f, the minterm fraction of (node ∧ bias-cofactor) — the
+// recursion carries the bias down its own cofactors so each node is
+// weighed against the portion of the bias set that can still reach it.
+// The memo is keyed by (function, bias cofactor) pairs, not by node.
+func computeBiasFractions(in *info, f, bias bdd.Ref) []float64 {
 	m := in.m
-	out := make(map[uint32]float64)
+	out := make([]float64, in.slots.Len())
 	type key struct {
 		f, b bdd.Ref
 	}
@@ -79,9 +81,8 @@ func computeBiasFractions(in *info, f, bias bdd.Ref) map[uint32]float64 {
 		// Record the best-known biased fraction for the regular node
 		// (a node reached under several bias cofactors keeps the
 		// largest, erring toward protecting it).
-		id := g.ID()
-		if v > out[id] {
-			out[id] = v
+		if s, ok := in.slots.Slot(g); ok && v > out[s] {
+			out[s] = v
 		}
 		return v
 	}

@@ -58,9 +58,13 @@ const (
 // info aggregates the analysis of one BDD ("info" of Figure 2): per-node
 // data plus the global result estimates used by the density test.
 type info struct {
-	m     *bdd.Manager
-	cfg   RemapConfig
-	nodes map[uint32]*nodeData
+	m   *bdd.Manager
+	cfg RemapConfig
+	// slots numbers the nodes of f; nodes holds their records by slot.
+	slots *bdd.SlotTable
+	nodes []nodeData
+	// dom is dominatedSet's scratch state, reused for every candidate.
+	dom domination
 	// buildOp is the per-invocation computed-table code under which the
 	// rebuild pass memoizes its results in the manager's shared cache
 	// (see buildResult).
@@ -74,7 +78,7 @@ type info struct {
 	// losses at nodes overlapping the bias set are inflated by up to
 	// that factor in the density test.
 	biasWeight float64
-	biasFrac   map[uint32]float64
+	biasFrac   []float64 // slot -> biased fraction (nil: no bias)
 }
 
 // lossScale returns the multiplier the density test applies to minterm
@@ -83,11 +87,11 @@ func (in *info) lossScale(node bdd.Ref) float64 {
 	if in.biasWeight <= 1 || in.biasFrac == nil {
 		return 1
 	}
-	d := in.at(node)
-	if d == nil || d.frac <= 0 {
+	s, ok := in.slots.Slot(node)
+	if !ok || in.nodes[s].frac <= 0 {
 		return 1
 	}
-	share := in.biasFrac[node.ID()] / d.frac
+	share := in.biasFrac[s] / in.nodes[s].frac
 	if share > 1 {
 		share = 1
 	}
@@ -97,47 +101,64 @@ func (in *info) lossScale(node bdd.Ref) float64 {
 // analyze performs the first pass of remapUnderApprox (Figure 2): a
 // depth-first traversal computing, for every node, the minterm fraction of
 // its function, the number of arcs pointing to it, and the parities it is
-// reached with.
+// reached with. The caller releases the result's tables with release.
 func analyze(m *bdd.Manager, f bdd.Ref) *info {
-	in := &info{m: m, nodes: make(map[uint32]*nodeData)}
+	in := &info{m: m, slots: m.Slots()}
 	in.collect(f)
 	root := in.at(f)
 	root.funcRef = 1
 	in.markParity(f)
 	in.rootFrac = fracOf(in, f)
-	in.rootSize = m.DagSize(f)
+	in.rootSize = in.slots.Len() // collect visited every node of f once
 	in.resultSize = in.rootSize
 	in.resultFrac = in.rootFrac
 	return in
 }
 
-// at returns the record of f's node (by regular id).
-func (in *info) at(f bdd.Ref) *nodeData { return in.nodes[f.ID()] }
-
-// collect fills frac and funcRef for every node reachable from f.
-func (in *info) collect(f bdd.Ref) *nodeData {
-	if d, ok := in.nodes[f.ID()]; ok {
-		return d
+// release hands the analysis' slot tables back to the manager.
+func (in *info) release() {
+	in.slots.Release()
+	if in.dom.t != nil {
+		in.dom.t.Release()
 	}
-	d := &nodeData{}
-	in.nodes[f.ID()] = d
+}
+
+// at returns the record of f's node (by regular id), or nil if the node is
+// not part of the analyzed function.
+func (in *info) at(f bdd.Ref) *nodeData {
+	s, ok := in.slots.Slot(f)
+	if !ok {
+		return nil
+	}
+	return &in.nodes[s]
+}
+
+// collect fills frac and funcRef for every node reachable from f and
+// returns the slot of f's node. It works on slots rather than record
+// pointers because the records slice grows during the walk.
+func (in *info) collect(f bdd.Ref) int {
+	s, added := in.slots.Add(f)
+	if !added {
+		return s
+	}
+	in.nodes = append(in.nodes, nodeData{})
 	if f.IsConstant() {
-		d.frac = 1 // regular constant is One
-		return d
+		in.nodes[s].frac = 1 // regular constant is One
+		return s
 	}
 	hi := in.m.StructHi(f)
 	lo := in.m.StructLo(f)
-	dh := in.collect(hi)
-	dl := in.collect(lo)
-	dh.funcRef++
-	dl.funcRef++
-	ph := dh.frac // hi edge is regular
-	pl := dl.frac
+	sh := in.collect(hi)
+	sl := in.collect(lo)
+	in.nodes[sh].funcRef++
+	in.nodes[sl].funcRef++
+	ph := in.nodes[sh].frac // hi edge is regular
+	pl := in.nodes[sl].frac
 	if lo.IsComplement() {
 		pl = 1 - pl
 	}
-	d.frac = 0.5*ph + 0.5*pl
-	return d
+	in.nodes[s].frac = 0.5*ph + 0.5*pl
+	return s
 }
 
 // markParity records, for every node, the complementation parities of the

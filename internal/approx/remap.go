@@ -49,6 +49,7 @@ func RemapUnderApproxConfig(m *bdd.Manager, f bdd.Ref, threshold int, quality fl
 	}
 	lg := beginLedger(m, "rua", f, threshold)
 	in := analyze(m, f)
+	defer in.release()
 	in.cfg = cfg
 	markNodes(in, f, threshold, quality)
 	r := buildResult(in, f)
@@ -201,43 +202,78 @@ func nodesSaved(in *info, seen bdd.Ref, rep replacement) int {
 	return len(dominatedSet(in, seen, rep.exclude))
 }
 
-// dominatedSet returns the set of node ids eliminated together with seen's
-// node. A node is eliminated when every arc pointing to it within the
-// (current, partially reduced) BDD comes from eliminated nodes — the
-// localRef = functionRef test of Figure 4. exclude survives by definition.
-func dominatedSet(in *info, seen bdd.Ref, exclude bdd.Ref) map[uint32]bool {
+// domination is the scratch state of dominatedSet. One analysis reuses it
+// for every candidate: the slot table numbers the nodes a query reaches,
+// state holds their local arc counts by slot, and q is the level queue.
+type domination struct {
+	t     *bdd.SlotTable
+	state []domState
+	list  []bdd.Ref
+	q     *levelQueue
+}
+
+type domState struct {
+	local int32 // arcs into the node from eliminated nodes (localRef)
+	dom   bool  // the node is eliminated
+}
+
+// dominated reports whether c's node is in the set the last dominatedSet
+// call returned.
+func (d *domination) dominated(c bdd.Ref) bool {
+	s, ok := d.t.Slot(c)
+	return ok && d.state[s].dom
+}
+
+// dominatedSet returns the regular refs of the nodes eliminated together
+// with seen's node; in.dom.dominated tests membership. A node is eliminated
+// when every arc pointing to it within the (current, partially reduced)
+// BDD comes from eliminated nodes — the localRef = functionRef test of
+// Figure 4. exclude survives by definition. The returned slice is scratch
+// space, valid until the next call.
+func dominatedSet(in *info, seen bdd.Ref, exclude bdd.Ref) []bdd.Ref {
 	m := in.m
+	d := &in.dom
+	if d.t == nil {
+		d.t = m.Slots()
+		d.q = newLevelQueue(m)
+	} else {
+		d.t.Reset()
+	}
+	d.state = d.state[:0]
+	d.list = d.list[:0]
 	v := seen.Regular()
 	excl := exclude.Regular()
-	local := map[uint32]int32{v.ID(): in.at(v).funcRef}
-	dom := make(map[uint32]bool)
-	q := newLevelQueue(m)
-	q.push(v, m.Level(v))
-	queued := map[uint32]bool{v.ID(): true}
+	// A node is in the table exactly when it has been queued.
+	d.t.Add(v)
+	d.state = append(d.state, domState{local: in.at(v).funcRef})
+	d.q.push(v, m.Level(v))
 	for {
-		u, ok := q.pop()
+		u, ok := d.q.pop()
 		if !ok {
 			break
 		}
 		if u.IsConstant() {
 			continue
 		}
-		if local[u.ID()] != in.at(u).funcRef || (u.ID() == excl.ID() && u != v) {
+		s, _ := d.t.Slot(u)
+		if d.state[s].local != in.at(u).funcRef || (u.ID() == excl.ID() && u != v) {
 			continue
 		}
-		dom[u.ID()] = true
+		d.state[s].dom = true
+		d.list = append(d.list, u)
 		for _, c := range [2]bdd.Ref{m.StructHi(u), m.StructLo(u)} {
 			if c.IsConstant() {
 				continue
 			}
-			local[c.ID()]++
-			if !queued[c.ID()] {
-				queued[c.ID()] = true
-				q.push(c.Regular(), m.Level(c))
+			cs, added := d.t.Add(c)
+			if added {
+				d.state = append(d.state, domState{})
+				d.q.push(c.Regular(), m.Level(c))
 			}
+			d.state[cs].local++
 		}
 	}
-	return dom
+	return d.list
 }
 
 // densityRatio returns the ratio between the density of the estimated
@@ -270,12 +306,10 @@ func applyReplacement(in *info, seen bdd.Ref, d *nodeData, rep replacement) {
 	if in.resultSize < 1 {
 		in.resultSize = 1
 	}
-	dom := dominatedSet(in, seen, rep.exclude)
 	// Remove the arcs leaving the dominated set.
-	for id := range dom {
-		u := refFromID(id)
+	for _, u := range dominatedSet(in, seen, rep.exclude) {
 		for _, c := range [2]bdd.Ref{m.StructHi(u), m.StructLo(u)} {
-			if c.IsConstant() || dom[c.ID()] {
+			if c.IsConstant() || in.dom.dominated(c) {
 				continue
 			}
 			in.at(c).funcRef--
@@ -295,9 +329,6 @@ func applyReplacement(in *info, seen bdd.Ref, d *nodeData, rep replacement) {
 		}
 	}
 }
-
-// refFromID reconstructs a regular Ref from a node id.
-func refFromID(id uint32) bdd.Ref { return bdd.Ref(id << 1) }
 
 // enqueueChildren propagates path weights to the children that remain
 // reachable under the node's (possibly replaced) form and enqueues them.

@@ -30,7 +30,8 @@ func ShortPaths(m *bdd.Manager, f bdd.Ref, threshold int) bdd.Ref {
 			obs.Int("threshold", threshold))
 	}
 	lg := beginLedger(m, "sp", f, threshold)
-	sp := &shortPaths{m: m, dist: make(map[bdd.Ref]int)}
+	sp := &shortPaths{m: m, dist: bdd.NewPolarMemo[int](m)}
+	defer sp.dist.Release()
 	dmin := sp.distToOne(f)
 	lo, hi := dmin, m.NumVars()
 	// Invariant: subsets of length < lo fit (or lo == dmin); length > hi
@@ -66,7 +67,7 @@ func ShortPaths(m *bdd.Manager, f bdd.Ref, threshold int) bdd.Ref {
 
 type shortPaths struct {
 	m    *bdd.Manager
-	dist map[bdd.Ref]int // seen function -> shortest #arcs to One
+	dist *bdd.PolarMemo[int] // seen function -> shortest #arcs to One
 }
 
 const spInf = int(^uint(0) >> 2)
@@ -81,7 +82,7 @@ func (sp *shortPaths) distToOne(f bdd.Ref) int {
 	if f == bdd.Zero {
 		return spInf
 	}
-	if d, ok := sp.dist[f]; ok {
+	if d, ok := sp.dist.Get(f); ok {
 		return d
 	}
 	// Break cycles impossible: DAG. Mark in progress unnecessary.
@@ -94,7 +95,7 @@ func (sp *shortPaths) distToOne(f bdd.Ref) int {
 	if d < spInf {
 		d++
 	}
-	sp.dist[f] = d
+	sp.dist.Put(f, d)
 	return d
 }
 

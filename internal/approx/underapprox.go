@@ -34,6 +34,7 @@ func UnderApprox(m *bdd.Manager, f bdd.Ref, threshold int, alpha float64) bdd.Re
 	}
 	lg := beginLedger(m, "ua", f, threshold)
 	in := analyze(m, f)
+	defer in.release()
 	uaMark(in, f, threshold, alpha)
 	r := buildResult(in, f)
 	lg.done(r)

@@ -87,8 +87,10 @@ func (f Ref) index() int32 { return int32(f >> 1) }
 func (f Ref) IsConstant() bool { return f.Regular() == One }
 
 // ID returns a stable identifier for the node f points to, shared by f and
-// its complement. Client algorithms use it to key per-node side tables.
-// IDs remain stable across reordering but may be recycled after a node is
+// its complement: the node's arena index. Per-call traversals number the
+// nodes they touch through a SlotTable (Manager.Slots), which is indexed
+// by ID, and keep their per-node data in slices indexed by slot. IDs
+// remain stable across reordering but may be recycled after a node is
 // garbage collected, so side tables must not outlive the functions they
 // describe.
 func (f Ref) ID() uint32 { return uint32(f.index()) }
@@ -173,6 +175,8 @@ type Manager struct {
 	deadline  time.Time // operation deadline (zero = none)
 	allocTick int       // allocations since the last deadline check
 	nodeLimit int       // live-node ceiling (0 = none)
+
+	slots slotTables // free SlotTables for per-call traversals
 
 	stats Stats
 }

@@ -103,3 +103,51 @@ func BenchmarkUniqueTable(b *testing.B) {
 		b.ReportMetric(float64(s.MaxChain), "maxchain")
 	}
 }
+
+// BenchmarkDagSizeSmallInLargeArena sizes a 50-node function whose nodes
+// sit near the top of an arena holding over a million live nodes — the
+// shape of a small request against a large tenant. A SlotTable that was
+// allocated or cleared per call would cost O(arena) per DagSize here
+// instead of O(50).
+func BenchmarkDagSizeSmallInLargeArena(b *testing.B) {
+	const nVars = 64
+	m := NewWithConfig(nVars, Config{InitialNodes: 1 << 20})
+	rng := rand.New(rand.NewSource(3))
+	// Fill the arena with random full-length cubes: every node of a cube
+	// has a constant child, so none of them can be shared with the
+	// parity function below.
+	for m.NodeCount() < 1<<20 {
+		cube := m.Ref(One)
+		for v := nVars - 1; v >= 0; v-- {
+			lit := m.IthVar(v)
+			if rng.Intn(2) == 0 {
+				lit = lit.Complement()
+			}
+			next := m.And(cube, lit)
+			m.Deref(cube)
+			cube = next
+		}
+	}
+	// Parity of 49 variables: one node per variable with complement arcs,
+	// plus the constant.
+	f := m.Ref(Zero)
+	for v := nVars - 49; v < nVars; v++ {
+		next := m.Xor(f, m.IthVar(v))
+		m.Deref(f)
+		f = next
+	}
+	if n := m.DagSize(f); n != 50 {
+		b.Fatalf("DagSize = %d, want 50", n)
+	}
+	if top := f.ID(); top < 1<<20 {
+		b.Fatalf("root sits at arena index %d, want >= 2^20", top)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dagSizeSink = m.DagSize(f)
+	}
+}
+
+// dagSizeSink keeps the benchmarked DagSize calls live.
+var dagSizeSink int

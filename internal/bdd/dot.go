@@ -33,24 +33,16 @@ func (m *Manager) DumpDotStyled(w io.Writer, names []string, roots []Ref, opts D
 	}
 	fmt.Fprintln(w, "  rankdir = TB;")
 	// Collect nodes grouped by level for rank constraints.
-	seen := make(map[int32]struct{})
-	byLevel := make(map[int32][]int32)
-	var collect func(idx int32)
-	collect = func(idx int32) {
-		if _, ok := seen[idx]; ok {
-			return
-		}
-		seen[idx] = struct{}{}
-		n := &m.nodes[idx]
-		if n.level == terminalLevel {
-			return
-		}
-		byLevel[n.level] = append(byLevel[n.level], idx)
-		collect(n.hi.index())
-		collect(n.lo.index())
-	}
+	seen := m.Slots()
+	defer seen.Release()
 	for _, r := range roots {
-		collect(r.index())
+		m.markRec(r.index(), seen)
+	}
+	byLevel := make(map[int32][]int32)
+	for _, idx := range seen.ids {
+		if lev := m.nodes[idx].level; lev != terminalLevel {
+			byLevel[lev] = append(byLevel[lev], int32(idx))
+		}
 	}
 	// Root pointers.
 	for i, name := range names {
@@ -85,7 +77,7 @@ func (m *Manager) DumpDotStyled(w io.Writer, names []string, roots []Ref, opts D
 	}
 	fmt.Fprintln(w, "  c1 [shape=box, label=\"1\"];")
 	// Arcs.
-	for idx := range seen {
+	for _, idx := range seen.ids {
 		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			continue

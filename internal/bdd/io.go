@@ -90,28 +90,29 @@ func (m *Manager) saveLocked(w io.Writer, names []string, roots []Ref) error {
 	fmt.Fprintln(bw, ioMagic)
 	fmt.Fprintf(bw, "vars %d\n", m.NumVars())
 
-	// Assign local ids in children-first order. The walk uses an explicit
-	// worklist rather than recursion: a chain-shaped BDD (a cube over a
-	// million variables) is as deep as it is large, and must not exhaust
-	// the goroutine stack.
-	local := map[uint32]int{One.ID(): 0}
-	var order []Ref // regular refs, children first
+	// Assign local ids in children-first order: a node's local id is its
+	// slot, handed out when its post-order visit completes (the constant
+	// takes slot 0). The walk uses an explicit worklist rather than
+	// recursion: a chain-shaped BDD (a cube over a million variables) is
+	// as deep as it is large, and must not exhaust the goroutine stack.
+	local := m.Slots()
+	defer local.Release()
+	local.Add(One)
 	var stack []Ref // regular refs pending a post-order visit
 	visit := func(r Ref) {
 		stack = append(stack, r.Regular())
 		for len(stack) > 0 {
 			top := stack[len(stack)-1]
-			if _, ok := local[top.ID()]; ok {
+			if _, ok := local.Slot(top); ok {
 				stack = stack[:len(stack)-1]
 				continue
 			}
 			hi, lo := m.StructHi(top), m.StructLo(top)
-			_, hiDone := local[hi.ID()]
-			_, loDone := local[lo.ID()]
+			_, hiDone := local.Slot(hi)
+			_, loDone := local.Slot(lo)
 			if hiDone && loDone {
 				stack = stack[:len(stack)-1]
-				local[top.ID()] = len(order) + 1
-				order = append(order, top)
+				local.Add(top)
 				continue
 			}
 			if !hiDone {
@@ -127,16 +128,21 @@ func (m *Manager) saveLocked(w io.Writer, names []string, roots []Ref) error {
 			visit(r)
 		}
 	}
+	id := func(r Ref) int {
+		s, _ := local.Slot(r)
+		return s
+	}
 	enc := func(r Ref) string {
 		sign := "+"
 		if r.IsComplement() {
 			sign = "-"
 		}
-		return fmt.Sprintf("%s%d", sign, local[r.ID()])
+		return fmt.Sprintf("%s%d", sign, id(r))
 	}
-	fmt.Fprintf(bw, "nodes %d\n", len(order))
-	for _, r := range order {
-		fmt.Fprintf(bw, "%d %d %s %s\n", local[r.ID()], m.Var(r), enc(m.StructHi(r)), enc(m.StructLo(r)))
+	fmt.Fprintf(bw, "nodes %d\n", local.Len()-1)
+	for s := 1; s < local.Len(); s++ {
+		r := local.Node(s)
+		fmt.Fprintf(bw, "%d %d %s %s\n", s, m.Var(r), enc(m.StructHi(r)), enc(m.StructLo(r)))
 	}
 	fmt.Fprintf(bw, "roots %d\n", len(roots))
 	for i, r := range roots {

@@ -14,34 +14,36 @@ func (m *Manager) DagSize(f Ref) int {
 // dagSize is the lock-free body of DagSize, for internal use under a lease
 // the caller already holds.
 func (m *Manager) dagSize(f Ref) int {
-	seen := make(map[int32]struct{})
-	m.dagSizeRec(f.index(), seen)
-	return len(seen)
+	t := m.Slots()
+	defer t.Release()
+	m.markRec(f.index(), t)
+	return t.Len()
 }
 
-func (m *Manager) dagSizeRec(idx int32, seen map[int32]struct{}) {
-	if _, ok := seen[idx]; ok {
+// markRec adds every node reachable from idx to t.
+func (m *Manager) markRec(idx int32, t *SlotTable) {
+	if _, added := t.addIndex(idx); !added {
 		return
 	}
-	seen[idx] = struct{}{}
 	n := &m.nodes[idx]
 	if n.level == terminalLevel {
 		return
 	}
-	m.dagSizeRec(n.hi.index(), seen)
-	m.dagSizeRec(n.lo.index(), seen)
+	m.markRec(n.hi.index(), t)
+	m.markRec(n.lo.index(), t)
 }
 
 // SharingSize returns the number of distinct nodes in the forest rooted at
 // the given functions — the "shared size" reported in Table 4 of the paper.
 func (m *Manager) SharingSize(fs []Ref) int {
-	seen := make(map[int32]struct{})
+	t := m.Slots()
+	defer t.Release()
 	m.readLocked(func() {
 		for _, f := range fs {
-			m.dagSizeRec(f.index(), seen)
+			m.markRec(f.index(), t)
 		}
 	})
-	return len(seen)
+	return t.Len()
 }
 
 // CountMinterm returns ‖f‖: the number of minterms of f over nVars
@@ -54,40 +56,38 @@ func (m *Manager) CountMinterm(f Ref, nVars int) float64 {
 // MintermFraction returns ‖f‖ / 2^n: the fraction of the full variable
 // space on which f is 1. It is independent of the number of variables.
 func (m *Manager) MintermFraction(f Ref) float64 {
+	t := m.Slots()
+	defer t.Release()
 	var p float64
 	m.readLocked(func() {
-		memo := make(map[int32]float64)
-		p = m.fracOf(f, memo)
+		var memo []float64 // slot -> fraction of the regular node
+		p = m.fracRec(f.index(), t, &memo)
 	})
-	return p
-}
-
-// fracOf returns the minterm fraction of the function denoted by ref,
-// memoizing on regular node indices (the fraction of the complemented
-// function is 1 - p).
-func (m *Manager) fracOf(f Ref, memo map[int32]float64) float64 {
-	p := m.fracRec(f.index(), memo)
 	if f.IsComplement() {
 		return 1 - p
 	}
 	return p
 }
 
-func (m *Manager) fracRec(idx int32, memo map[int32]float64) float64 {
+// fracRec returns the minterm fraction of the regular node idx, memoizing
+// by slot (the fraction of the complemented function is 1 - p).
+func (m *Manager) fracRec(idx int32, t *SlotTable, memo *[]float64) float64 {
 	n := &m.nodes[idx]
 	if n.level == terminalLevel {
 		return 1 // the regular constant is One
 	}
-	if p, ok := memo[idx]; ok {
-		return p
+	s, added := t.addIndex(idx)
+	if !added {
+		return (*memo)[s]
 	}
-	ph := m.fracRec(n.hi.index(), memo) // hi edge is regular by canonicity
-	pl := m.fracRec(n.lo.index(), memo)
+	*memo = append(*memo, 0)
+	ph := m.fracRec(n.hi.index(), t, memo) // hi edge is regular by canonicity
+	pl := m.fracRec(n.lo.index(), t, memo)
 	if n.lo.IsComplement() {
 		pl = 1 - pl
 	}
 	p := 0.5*ph + 0.5*pl
-	memo[idx] = p
+	(*memo)[s] = p
 	return p
 }
 
@@ -100,11 +100,8 @@ func (m *Manager) Density(f Ref, nVars int) float64 {
 // CountPath returns the number of paths from f's root to the constant One
 // (the number of cubes an AllSat enumeration would produce), as float64.
 func (m *Manager) CountPath(f Ref) float64 {
-	type key struct {
-		idx int32
-		neg bool
-	}
-	memo := make(map[key]float64)
+	memo := NewPolarMemo[float64](m)
+	defer memo.Release()
 	var rec func(r Ref) float64
 	rec = func(r Ref) float64 {
 		if r == One {
@@ -113,14 +110,13 @@ func (m *Manager) CountPath(f Ref) float64 {
 		if r == Zero {
 			return 0
 		}
-		k := key{r.index(), r.IsComplement()}
-		if v, ok := memo[k]; ok {
+		if v, ok := memo.Get(r); ok {
 			return v
 		}
 		n := &m.nodes[r.index()]
 		c := r & 1
 		v := rec(n.hi^c) + rec(n.lo^c)
-		memo[k] = v
+		memo.Put(r, v)
 		return v
 	}
 	var out float64

@@ -138,12 +138,11 @@ func (m *Manager) parPermute(f Ref, perm []int) Ref {
 	defer e.opLease.RUnlock()
 	w, ctx := m.beginOp(opcPermute)
 	defer m.endOp(w, ctx)
-	memo := make(map[Ref]Ref)
+	memo := NewPolarMemo[Ref](m)
+	defer memo.Release()
 	r := m.parPermuteRec(w, f, perm, memo)
 	m.refPar(r)
-	for _, v := range memo {
-		m.derefParIndex(v.index())
-	}
+	memo.Each(func(_, v Ref) { m.derefParIndex(v.index()) })
 	return r
 }
 
@@ -510,11 +509,11 @@ func (m *Manager) parComposeRec(w *parWorker, f Ref, lev int32, g Ref) Ref {
 	return r
 }
 
-func (m *Manager) parPermuteRec(w *parWorker, f Ref, perm []int, memo map[Ref]Ref) Ref {
+func (m *Manager) parPermuteRec(w *parWorker, f Ref, perm []int, memo *PolarMemo[Ref]) Ref {
 	if f.IsConstant() {
 		return f
 	}
-	if r, ok := memo[f]; ok {
+	if r, ok := memo.Get(f); ok {
 		return r
 	}
 	w.checkpoint()
@@ -523,6 +522,6 @@ func (m *Manager) parPermuteRec(w *parWorker, f Ref, perm []int, memo map[Ref]Re
 	t := m.parPermuteRec(w, hi, perm, memo)
 	e := m.parPermuteRec(w, lo, perm, memo)
 	r := m.parIteRec(w, m.vars[perm[v]], t, e, 1)
-	memo[f] = r
+	memo.Put(f, r)
 	return r
 }

@@ -181,22 +181,21 @@ func (m *Manager) Permute(f Ref, perm []int) Ref {
 	if m.par != nil {
 		return m.parPermute(f, perm)
 	}
-	memo := make(map[Ref]Ref)
+	memo := NewPolarMemo[Ref](m)
+	defer memo.Release()
 	r := m.permuteRec(f, perm, memo)
 	// The memo owns one reference per entry; the result picked up an
 	// extra one to survive the release below.
 	m.refS(r)
-	for _, v := range memo {
-		m.derefS(v)
-	}
+	memo.Each(func(_, v Ref) { m.derefS(v) })
 	return r
 }
 
-func (m *Manager) permuteRec(f Ref, perm []int, memo map[Ref]Ref) Ref {
+func (m *Manager) permuteRec(f Ref, perm []int, memo *PolarMemo[Ref]) Ref {
 	if f.IsConstant() {
 		return f
 	}
-	if r, ok := memo[f]; ok {
+	if r, ok := memo.Get(f); ok {
 		return r
 	}
 	v := m.Var(f)
@@ -205,7 +204,7 @@ func (m *Manager) permuteRec(f Ref, perm []int, memo map[Ref]Ref) Ref {
 	// The new variable may sit anywhere in the order, so compose with ITE
 	// rather than makeNode.
 	r := m.iteRec(m.vars[perm[v]], t, e, 1)
-	memo[f] = r
+	memo.Put(f, r)
 	return r
 }
 

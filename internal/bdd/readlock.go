@@ -12,5 +12,7 @@ package bdd
 // counts (doing so can stop the world while fn holds the barrier, which
 // deadlocks), and it must not call ReadLocked re-entrantly (the read
 // lease is not re-entrant across a concurrent writer). Heap allocation
-// (maps, big.Ints) is fine; only BDD node allocation is off-limits.
+// (big.Ints, slices) is fine; only BDD node allocation is off-limits.
+// Per-node side data belongs in a SlotTable from Manager.Slots, taken
+// before or inside fn: taking a table never takes the lease.
 func (m *Manager) ReadLocked(fn func()) { m.readLocked(fn) }

@@ -7,42 +7,38 @@ import "sort"
 // SupportVars returns the indices of the variables f depends on, in
 // increasing index order.
 func (m *Manager) SupportVars(f Ref) []int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
-	var vars []int
-	m.readLocked(func() {
-		m.supportRec(f.index(), seen, levels)
-		vars = make([]int, 0, len(levels))
-		for lev := range levels {
-			vars = append(vars, int(m.levToVar[lev]))
-		}
-	})
-	sort.Ints(vars)
-	return vars
+	return m.VectorSupport([]Ref{f})
 }
 
-func (m *Manager) supportRec(idx int32, seen map[int32]struct{}, levels map[int32]struct{}) {
-	if _, ok := seen[idx]; ok {
-		return
+// supportLevels marks the forest rooted at fs in t and returns, indexed by
+// level, whether some marked node sits there. Must run under the read
+// lease.
+func (m *Manager) supportLevels(fs []Ref, t *SlotTable) []bool {
+	for _, f := range fs {
+		m.markRec(f.index(), t)
 	}
-	seen[idx] = struct{}{}
-	n := &m.nodes[idx]
-	if n.level == terminalLevel {
-		return
+	levels := make([]bool, len(m.subtables))
+	for _, idx := range t.ids {
+		if lev := m.nodes[idx].level; lev != terminalLevel {
+			levels[lev] = true
+		}
 	}
-	levels[n.level] = struct{}{}
-	m.supportRec(n.hi.index(), seen, levels)
-	m.supportRec(n.lo.index(), seen, levels)
+	return levels
 }
 
 // SupportSize returns the number of variables f depends on.
 func (m *Manager) SupportSize(f Ref) int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
+	t := m.Slots()
+	defer t.Release()
+	n := 0
 	m.readLocked(func() {
-		m.supportRec(f.index(), seen, levels)
+		for _, in := range m.supportLevels([]Ref{f}, t) {
+			if in {
+				n++
+			}
+		}
 	})
-	return len(levels)
+	return n
 }
 
 // SupportCube returns the positive cube of f's support variables.
@@ -52,16 +48,14 @@ func (m *Manager) SupportCube(f Ref) Ref {
 
 // VectorSupport returns the union of the supports of the given functions.
 func (m *Manager) VectorSupport(fs []Ref) []int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
-	var vars []int
+	t := m.Slots()
+	defer t.Release()
+	vars := []int{}
 	m.readLocked(func() {
-		for _, f := range fs {
-			m.supportRec(f.index(), seen, levels)
-		}
-		vars = make([]int, 0, len(levels))
-		for lev := range levels {
-			vars = append(vars, int(m.levToVar[lev]))
+		for lev, in := range m.supportLevels(fs, t) {
+			if in {
+				vars = append(vars, int(m.levToVar[lev]))
+			}
 		}
 	})
 	sort.Ints(vars)

@@ -37,28 +37,25 @@ func levelOf(m *bdd.Manager, f bdd.Ref, n int) int {
 
 // sweep fills memo with the exact minterm count of every sub-function
 // reachable from f, counted over the variable space strictly below the
-// sub-function's own root level (so memo[One] = 1: the empty space has
-// one assignment). Keys are function refs with the complement bit folded
-// in; both polarities of a shared node get their own entry. Must run
-// under the manager's read lease.
-func sweep(m *bdd.Manager, f bdd.Ref, n int, memo map[bdd.Ref]*big.Int) {
-	if memo[bdd.One] == nil {
-		memo[bdd.One] = big.NewInt(1)
-		memo[bdd.Zero] = big.NewInt(0)
-	}
-	if _, ok := memo[f]; ok {
+// sub-function's own root level (so the count of One is 1: the empty
+// space has one assignment). Both polarities of a shared node get their
+// own entry. Must run under the manager's read lease.
+func sweep(m *bdd.Manager, f bdd.Ref, n int, memo *bdd.PolarMemo[*big.Int]) {
+	memo.Put(bdd.One, big.NewInt(1))
+	memo.Put(bdd.Zero, big.NewInt(0))
+	if _, ok := memo.Get(f); ok {
 		return
 	}
 	stack := []bdd.Ref{f}
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
-		if _, ok := memo[r]; ok {
+		if _, ok := memo.Get(r); ok {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		hi, lo := m.Hi(r), m.Lo(r)
-		ch, okH := memo[hi]
-		cl, okL := memo[lo]
+		ch, okH := memo.Get(hi)
+		cl, okL := memo.Get(lo)
 		if !okH {
 			stack = append(stack, hi)
 		}
@@ -75,7 +72,7 @@ func sweep(m *bdd.Manager, f bdd.Ref, n int, memo map[bdd.Ref]*big.Int) {
 		l := levelOf(m, r, n)
 		c := new(big.Int).Lsh(ch, uint(levelOf(m, hi, n)-l-1))
 		t := new(big.Int).Lsh(cl, uint(levelOf(m, lo, n)-l-1))
-		memo[r] = c.Add(c, t)
+		memo.Put(r, c.Add(c, t))
 	}
 }
 
@@ -85,6 +82,14 @@ func sweep(m *bdd.Manager, f bdd.Ref, n int, memo map[bdd.Ref]*big.Int) {
 // support variable of f must have index < nVars (counting over a space
 // that does not cover the support is an error).
 func Minterms(m *bdd.Manager, f bdd.Ref, nVars int) (*big.Int, error) {
+	memo := bdd.NewPolarMemo[*big.Int](m)
+	defer memo.Release()
+	return minterms(m, f, nVars, memo)
+}
+
+// minterms is Minterms sweeping into a caller-supplied memo, which holds
+// the count of every sub-function of f afterwards.
+func minterms(m *bdd.Manager, f bdd.Ref, nVars int, memo *bdd.PolarMemo[*big.Int]) (*big.Int, error) {
 	if nVars < 0 {
 		return nil, fmt.Errorf("count: negative variable count %d", nVars)
 	}
@@ -98,10 +103,10 @@ func Minterms(m *bdd.Manager, f bdd.Ref, nVars int) (*big.Int, error) {
 	}
 	var total *big.Int
 	m.ReadLocked(func() {
-		memo := make(map[bdd.Ref]*big.Int)
 		sweep(m, f, n, memo)
 		// Levels above the root are free.
-		total = new(big.Int).Lsh(memo[f], uint(levelOf(m, f, n)))
+		c, _ := memo.Get(f)
+		total = new(big.Int).Lsh(c, uint(levelOf(m, f, n)))
 	})
 	if nVars >= n {
 		total.Lsh(total, uint(nVars-n))
@@ -174,20 +179,23 @@ func Weighted(m *bdd.Manager, f bdd.Ref, weight func(v int) float64) float64 {
 		}
 		return p
 	}
+	memo := bdd.NewPolarMemo[float64](m)
+	defer memo.Release()
 	var out float64
 	m.ReadLocked(func() {
-		memo := map[bdd.Ref]float64{bdd.One: 1, bdd.Zero: 0}
-		if _, ok := memo[f]; !ok {
+		memo.Put(bdd.One, 1)
+		memo.Put(bdd.Zero, 0)
+		if _, ok := memo.Get(f); !ok {
 			stack := []bdd.Ref{f}
 			for len(stack) > 0 {
 				r := stack[len(stack)-1]
-				if _, ok := memo[r]; ok {
+				if _, ok := memo.Get(r); ok {
 					stack = stack[:len(stack)-1]
 					continue
 				}
 				hi, lo := m.Hi(r), m.Lo(r)
-				ph, okH := memo[hi]
-				pl, okL := memo[lo]
+				ph, okH := memo.Get(hi)
+				pl, okL := memo.Get(lo)
 				if !okH {
 					stack = append(stack, hi)
 				}
@@ -199,10 +207,10 @@ func Weighted(m *bdd.Manager, f bdd.Ref, weight func(v int) float64) float64 {
 				}
 				stack = stack[:len(stack)-1]
 				p := w(m.Var(r))
-				memo[r] = p*ph + (1-p)*pl
+				memo.Put(r, p*ph+(1-p)*pl)
 			}
 		}
-		out = memo[f]
+		out, _ = memo.Get(f)
 	})
 	return out
 }

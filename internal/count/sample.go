@@ -38,7 +38,9 @@ func NewSampler(m *bdd.Manager, f bdd.Ref, nVars int, seed int64) (*Sampler, err
 	if f == bdd.Zero {
 		return nil, fmt.Errorf("count: cannot sample an unsatisfiable function")
 	}
-	total, err := Minterms(m, f, nVars)
+	sw := bdd.NewPolarMemo[*big.Int](m)
+	defer sw.Release()
+	total, err := minterms(m, f, nVars, sw)
 	if err != nil {
 		return nil, err
 	}
@@ -48,10 +50,12 @@ func NewSampler(m *bdd.Manager, f bdd.Ref, nVars int, seed int64) (*Sampler, err
 		n:     m.NumVars(),
 		nVars: nVars,
 		rng:   rand.New(rand.NewSource(seed)),
-		memo:  make(map[bdd.Ref]*big.Int),
+		memo:  make(map[bdd.Ref]*big.Int, 2*sw.Len()),
 		total: total,
 	}
-	m.ReadLocked(func() { sweep(m, f, s.n, s.memo) })
+	// The sampler outlives the sweep's slot table, so it keeps the
+	// subtree counts in a map of its own.
+	sw.Each(func(r bdd.Ref, c *big.Int) { s.memo[r] = c })
 	return s, nil
 }
 

@@ -74,8 +74,9 @@ func DecomposeConfig(m *bdd.Manager, f bdd.Ref, pts Points, cfg Config) Pair {
 	d := &decomposer{
 		m: m, pts: pts, cfg: cfg,
 		opG: m.CacheOp(), opH: m.CacheOp(),
-		est: make(map[bdd.Ref][2]int),
+		est: bdd.NewPolarMemo[[2]int](m),
 	}
+	defer d.est.Release()
 	e := d.rec(f)
 	p := Pair{G: e.g, H: e.h}
 	lg.done(p.SharedSize(m))
@@ -161,10 +162,10 @@ type decomposer struct {
 	// The per-node factor pairs are memoized in the manager's shared
 	// computed table under two fresh per-invocation operation codes (one
 	// per factor); a lossy cache is fine because an evicted pair is
-	// simply recomputed. The size estimates ride in a plain side map —
+	// simply recomputed. The size estimates ride in a plain side table —
 	// they hold no node references, so they need no eviction handling.
 	opG, opH uint32
-	est      map[bdd.Ref][2]int
+	est      *bdd.PolarMemo[[2]int]
 }
 
 // rec implements the decomp procedure of Figure 5 on seen functions. The
@@ -178,7 +179,7 @@ func (d *decomposer) rec(f bdd.Ref) entry {
 		if h, ok := m.CacheLookup(d.opH, f, 0, 0); ok {
 			// Either factor may be dead on a hit; revive both before
 			// any allocation can collect them.
-			c := d.est[f]
+			c, _ := d.est.Get(f)
 			return entry{g: m.Ref(g), h: m.Ref(h), cg: c[0], ch: c[1]}
 		}
 	}
@@ -224,6 +225,6 @@ func (d *decomposer) rec(f bdd.Ref) entry {
 	}
 	m.CacheInsert(d.opG, f, 0, 0, e.g)
 	m.CacheInsert(d.opH, f, 0, 0, e.h)
-	d.est[f] = [2]int{e.cg, e.ch}
+	d.est.Put(f, [2]int{e.cg, e.ch})
 	return e
 }

@@ -34,15 +34,19 @@ func BandPoints(m *bdd.Manager, f bdd.Ref, cfg BandConfig) Points {
 			obs.Int("size", m.DagSize(f)),
 			obs.F64("low", cfg.Low), obs.F64("high", cfg.High))
 	}
-	dist := make(map[uint32]int)
+	slots := m.Slots()
+	defer slots.Release()
+	var dist []int // slot -> distance from the constant
 	var depth func(r bdd.Ref) int
 	depth = func(r bdd.Ref) int {
 		if r.IsConstant() {
 			return 0
 		}
-		if d, ok := dist[r.ID()]; ok {
-			return d
+		s, added := slots.Add(r)
+		if !added {
+			return dist[s]
 		}
+		dist = append(dist, 0)
 		dh := depth(m.StructHi(r))
 		dl := depth(m.StructLo(r))
 		d := dh
@@ -50,7 +54,7 @@ func BandPoints(m *bdd.Manager, f bdd.Ref, cfg BandConfig) Points {
 			d = dl
 		}
 		d++
-		dist[r.ID()] = d
+		dist[s] = d
 		return d
 	}
 	rootD := depth(f)
@@ -63,9 +67,9 @@ func BandPoints(m *bdd.Manager, f bdd.Ref, cfg BandConfig) Points {
 		lo = 1
 	}
 	pts := make(Points)
-	for id, d := range dist {
+	for s, d := range dist {
 		if d >= lo && d <= hi {
-			pts[id] = true
+			pts[slots.Node(s).ID()] = true
 		}
 	}
 	if sp != nil {
@@ -111,66 +115,67 @@ func DisjointPoints(m *bdd.Manager, f bdd.Ref, cfg DisjointConfig) Points {
 			obs.Int("size", total),
 			obs.Int("max_candidates", cfg.MaxCandidates))
 	}
-	// Sample nodes breadth-first so cuts land in the upper-middle of the
-	// BDD, where they split real mass.
-	var order []bdd.Ref
-	seen := map[uint32]bool{}
-	queue := []bdd.Ref{f.Regular()}
-	seen[f.ID()] = true
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		if r.IsConstant() {
-			continue
-		}
-		order = append(order, r)
-		for _, c := range [2]bdd.Ref{m.StructHi(r), m.StructLo(r)} {
-			if !c.IsConstant() && !seen[c.ID()] {
-				seen[c.ID()] = true
-				queue = append(queue, c.Regular())
-			}
-		}
-	}
-
 	type scored struct {
 		id    uint32
 		score float64
 	}
 	var best []scored
 	sampled := 0
-	for _, r := range order {
-		if sampled >= cfg.MaxCandidates {
-			break
+	hiSlots, loSlots := m.Slots(), m.Slots()
+	defer hiSlots.Release()
+	defer loSlots.Release()
+	m.ReadLocked(func() {
+		// Sample nodes breadth-first so cuts land in the upper-middle of
+		// the BDD, where they split real mass. hiSlots numbers the nodes
+		// in visit order, so it doubles as the queue; once the order is
+		// copied out, the candidate walks reuse the table.
+		hiSlots.Add(f)
+		for i := 0; i < hiSlots.Len(); i++ {
+			r := hiSlots.Node(i)
+			for _, c := range [2]bdd.Ref{m.StructHi(r), m.StructLo(r)} {
+				if !c.IsConstant() {
+					hiSlots.Add(c)
+				}
+			}
 		}
-		hi, lo := m.StructHi(r), m.StructLo(r)
-		if hi.IsConstant() || lo.IsConstant() {
-			continue
+		order := make([]bdd.Ref, 0, hiSlots.Len())
+		for i := 0; i < hiSlots.Len(); i++ {
+			if r := hiSlots.Node(i); !r.IsConstant() {
+				order = append(order, r)
+			}
 		}
-		sampled++
-		szHi := m.DagSize(hi)
-		szLo := m.DagSize(lo)
-		small, big := szHi, szLo
-		if small > big {
-			small, big = big, small
+		for _, r := range order {
+			if sampled >= cfg.MaxCandidates {
+				break
+			}
+			hi, lo := m.StructHi(r), m.StructLo(r)
+			if hi.IsConstant() || lo.IsConstant() {
+				continue
+			}
+			sampled++
+			szHi, szLo, union := childSizes(m, hiSlots, loSlots, hi, lo)
+			small, big := szHi, szLo
+			if small > big {
+				small, big = big, small
+			}
+			if small < cfg.MinSubtree {
+				continue
+			}
+			shared := szHi + szLo - union
+			balance := float64(small) / float64(big)
+			disjointness := 1 - float64(shared)/float64(small)
+			if disjointness < 0 {
+				disjointness = 0
+			}
+			// Cut mass: prefer cuts whose subtree is a substantial (but
+			// not dominating) part of the whole BDD.
+			mass := float64(union) / float64(total)
+			if mass > 0.75 {
+				mass = 1.5 - mass // penalize near-root cuts
+			}
+			best = append(best, scored{r.ID(), balance * disjointness * mass})
 		}
-		if small < cfg.MinSubtree {
-			continue
-		}
-		union := m.SharingSize([]bdd.Ref{hi, lo})
-		shared := szHi + szLo - union
-		balance := float64(small) / float64(big)
-		disjointness := 1 - float64(shared)/float64(small)
-		if disjointness < 0 {
-			disjointness = 0
-		}
-		// Cut mass: prefer cuts whose subtree is a substantial (but not
-		// dominating) part of the whole BDD.
-		mass := float64(union) / float64(total)
-		if mass > 0.75 {
-			mass = 1.5 - mass // penalize near-root cuts
-		}
-		best = append(best, scored{r.ID(), balance * disjointness * mass})
-	}
+	})
 	sort.Slice(best, func(i, j int) bool { return best[i].score > best[j].score })
 	pts := make(Points)
 	max := cfg.MaxPoints
@@ -187,4 +192,31 @@ func DisjointPoints(m *bdd.Manager, f bdd.Ref, cfg DisjointConfig) Points {
 		sp.End(obs.Int("points", len(pts)), obs.Int("sampled", sampled))
 	}
 	return pts
+}
+
+// childSizes returns |hi|, |lo| and the shared size of {hi, lo} — what
+// DagSize, DagSize and SharingSize report — from one walk of each child:
+// hi's nodes are numbered in a, lo's in b, and the union adds the nodes
+// of lo that a lacks. Both tables are reset first. Runs under the read
+// lease.
+func childSizes(m *bdd.Manager, a, b *bdd.SlotTable, hi, lo bdd.Ref) (szHi, szLo, union int) {
+	a.Reset()
+	b.Reset()
+	var mark func(t *bdd.SlotTable, r bdd.Ref)
+	mark = func(t *bdd.SlotTable, r bdd.Ref) {
+		if _, added := t.Add(r); !added || r.IsConstant() {
+			return
+		}
+		mark(t, m.StructHi(r))
+		mark(t, m.StructLo(r))
+	}
+	mark(a, hi)
+	mark(b, lo)
+	union = a.Len()
+	for i := 0; i < b.Len(); i++ {
+		if _, ok := a.Slot(b.Node(i)); !ok {
+			union++
+		}
+	}
+	return a.Len(), b.Len(), union
 }
